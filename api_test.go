@@ -177,6 +177,24 @@ func TestFlowTreeAPI(t *testing.T) {
 	if !stSide[0] || stSide[5] {
 		t.Error("witness sides wrong")
 	}
+	// The witness is the source-minimal cut: on the unit ring both edges
+	// at s are saturated, so only s itself is residual-reachable.
+	for v, in := range stSide {
+		if in != (v == 0) {
+			t.Fatalf("MinSTCut side = %v, want {0}", stSide)
+		}
+	}
+	// MinSTCut has no error return: bad ids panic.
+	for _, st := range [][2]int32{{0, 10}, {-1, 3}, {4, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MinSTCut(%d, %d) did not panic", st[0], st[1])
+				}
+			}()
+			MinSTCut(g, st[0], st[1])
+		}()
+	}
 }
 
 func TestSolveTrivialInputs(t *testing.T) {

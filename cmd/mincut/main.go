@@ -75,7 +75,10 @@ func main() {
 		os.Exit(2)
 	}
 	if *st != "" {
-		runST(g, *st)
+		if err := runST(os.Stdout, g, *st); err != nil {
+			fmt.Fprintf(os.Stderr, "mincut: %v\n", err)
+			os.Exit(2)
+		}
 		return
 	}
 	if *tree {
@@ -222,23 +225,26 @@ func runAll(ctx context.Context, w io.Writer, g *mincut.Graph, opts mincut.AllCu
 	return nil
 }
 
-// runST computes a single minimum s-t cut.
-func runST(g *mincut.Graph, spec string) {
+// runST computes a single minimum s-t cut. Every error it returns is a
+// usage error: a malformed spec, an id out of range, or s == t.
+func runST(w io.Writer, g *mincut.Graph, spec string) error {
 	var s, t int32
-	if _, err := fmt.Sscanf(spec, "%d,%d", &s, &t); err != nil {
-		fmt.Fprintf(os.Stderr, "mincut: bad -st %q (want \"s,t\")\n", spec)
-		os.Exit(2)
+	n := g.NumVertices()
+	if _, err := fmt.Sscanf(spec, "%d,%d", &s, &t); err != nil ||
+		s < 0 || int(s) >= n || t < 0 || int(t) >= n || s == t {
+		return fmt.Errorf("bad -st %q (want \"s,t\": two distinct vertex ids in [0,%d))", spec, n)
 	}
 	start := time.Now()
 	val, side := mincut.MinSTCut(g, s, t)
-	fmt.Printf("min %d-%d cut: %d in %v\n", s, t, val, time.Since(start))
+	fmt.Fprintf(w, "min %d-%d cut: %d in %v\n", s, t, val, time.Since(start))
 	count := 0
 	for _, in := range side {
 		if in {
 			count++
 		}
 	}
-	fmt.Printf("s-side size: %d of %d\n", count, g.NumVertices())
+	fmt.Fprintf(w, "s-side size: %d of %d\n", count, n)
+	return nil
 }
 
 // runTree builds the flow-equivalent tree and summarizes connectivity.

@@ -120,3 +120,26 @@ func TestRunAllDisconnected(t *testing.T) {
 		t.Fatalf("unexpected output:\n%s", out.String())
 	}
 }
+
+// TestRunST checks the -st path: a valid pair prints the cut, and a
+// malformed spec, an out-of-range id or s == t is a usage error rather
+// than a panic.
+func TestRunST(t *testing.T) {
+	g := ringGraph(t, 6)
+	var out strings.Builder
+	if err := runST(&out, g, "0,3"); err != nil {
+		t.Fatalf("runST: %v", err)
+	}
+	if got := out.String(); !strings.Contains(got, "min 0-3 cut: 2 in") || !strings.Contains(got, "s-side size: 1 of 6") {
+		t.Fatalf("unexpected output:\n%s", got)
+	}
+	for _, spec := range []string{"0,99", "-1,2", "6,0", "2,2", "0", "a,b"} {
+		var out strings.Builder
+		if err := runST(&out, g, spec); err == nil {
+			t.Errorf("runST(%q) = nil error, output %q", spec, out.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("runST(%q) printed %q before failing", spec, out.String())
+		}
+	}
+}

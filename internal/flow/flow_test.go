@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -16,12 +17,22 @@ func pathGraph(ws ...int64) *graph.Graph {
 	return b.MustBuild()
 }
 
+// dinicSTCut is STMinCutCtx without a context, shaped like the
+// Edmonds–Karp oracle so the two fit one table.
+func dinicSTCut(g *graph.Graph, s, t int32) (int64, []bool) {
+	v, side, err := STMinCutCtx(context.Background(), g, s, t)
+	if err != nil {
+		panic(err)
+	}
+	return v, side
+}
+
 func TestMaxFlowPath(t *testing.T) {
 	g := pathGraph(5, 2, 9)
 	for _, fn := range []struct {
 		name string
 		f    func(*graph.Graph, int32, int32) (int64, []bool)
-	}{{"EK", MaxFlowEK}, {"PR", MaxFlowPR}} {
+	}{{"EK", MaxFlowEK}, {"Dinic", dinicSTCut}} {
 		t.Run(fn.name, func(t *testing.T) {
 			v, side := fn.f(g, 0, 3)
 			if v != 2 {
@@ -42,18 +53,18 @@ func TestMaxFlowAgainstBruteForce(t *testing.T) {
 		g := gen.GNMWeighted(9, 18, 7, seed)
 		want, _ := verify.BruteForceSTMinCut(g, 0, 8)
 		ek, ekSide := MaxFlowEK(g, 0, 8)
-		pr, prSide := MaxFlowPR(g, 0, 8)
+		dv, dSide := dinicSTCut(g, 0, 8)
 		if ek != want {
 			t.Fatalf("seed %d: EK = %d, want %d", seed, ek, want)
 		}
-		if pr != want {
-			t.Fatalf("seed %d: PR = %d, want %d", seed, pr, want)
+		if dv != want {
+			t.Fatalf("seed %d: Dinic = %d, want %d", seed, dv, want)
 		}
 		if got := verify.CutValue(g, ekSide); got != want {
 			t.Fatalf("seed %d: EK witness = %d, want %d", seed, got, want)
 		}
-		if got := verify.CutValue(g, prSide); got != want {
-			t.Fatalf("seed %d: PR witness = %d, want %d", seed, got, want)
+		if got := verify.CutValue(g, dSide); got != want {
+			t.Fatalf("seed %d: Dinic witness = %d, want %d", seed, got, want)
 		}
 	}
 }
@@ -66,18 +77,20 @@ func TestMaxFlowDisconnectedPair(t *testing.T) {
 	if v, _ := MaxFlowEK(g, 0, 3); v != 0 {
 		t.Errorf("EK across components = %d, want 0", v)
 	}
-	if v, _ := MaxFlowPR(g, 0, 3); v != 0 {
-		t.Errorf("PR across components = %d, want 0", v)
+	if v, _ := dinicSTCut(g, 0, 3); v != 0 {
+		t.Errorf("Dinic across components = %d, want 0", v)
 	}
 }
 
+// TestMaxFlowPanics checks the id validation of every s-t entry point:
+// the panicking ones panic, and STMinCutCtx returns an error instead.
 func TestMaxFlowPanics(t *testing.T) {
 	g := gen.Ring(4)
 	for _, fn := range []func(){
 		func() { MaxFlowEK(g, 0, 0) },
-		func() { MaxFlowPR(g, 2, 2) },
+		func() { NewSTEnum(g, 2, 2) },
 		func() { MaxFlowEK(g, -1, 2) },
-		func() { MaxFlowPR(g, 0, 9) },
+		func() { NewSTEnum(g, 0, 9) },
 	} {
 		func() {
 			defer func() {
@@ -87,6 +100,11 @@ func TestMaxFlowPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+	for _, st := range [][2]int32{{0, 0}, {2, 2}, {-1, 2}, {0, 9}, {4, 1}} {
+		if _, side, err := STMinCutCtx(context.Background(), g, st[0], st[1]); err == nil || side != nil {
+			t.Errorf("STMinCutCtx(%d, %d): err = %v, side = %v; want an error and no side", st[0], st[1], err, side)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/graph"
@@ -23,8 +24,9 @@ type FlowTree struct {
 }
 
 // GusfieldTree builds a flow-equivalent tree with n-1 max-flow
-// computations (push-relabel). Disconnected graphs are handled naturally:
-// cross-component pairs get tree weight 0.
+// computations, all on one shared Dinic residual network (a Progressive
+// rewound with Reset before each flow). Disconnected graphs are handled
+// naturally: cross-component pairs get tree weight 0.
 func GusfieldTree(g *graph.Graph) *FlowTree {
 	n := g.NumVertices()
 	t := &FlowTree{
@@ -35,9 +37,13 @@ func GusfieldTree(g *graph.Graph) *FlowTree {
 	if n == 0 {
 		return t
 	}
+	p := NewProgressive(g, 0)
 	for s := int32(1); s < int32(n); s++ {
 		tt := t.parent[s]
-		f, side := MaxFlowPR(g, s, tt) // side contains s
+		p.Reset(s)
+		// A Background context never cancels, so MaxFlowTo cannot fail.
+		f, _ := p.MaxFlowTo(context.Background(), tt, math.MaxInt64)
+		side := p.reachableFromSources() // contains s
 		t.weight[s] = f
 		// Every vertex hanging off tt that fell on s's side moves under s.
 		for j := int32(0); j < int32(n); j++ {
@@ -106,8 +112,8 @@ func (t *FlowTree) GlobalMinCut(g *graph.Graph) (int64, []bool) {
 			best = v
 		}
 	}
-	val, side := MaxFlowPR(g, best, t.parent[best])
-	if val != t.weight[best] {
+	val, side, err := STMinCutCtx(context.Background(), g, best, t.parent[best])
+	if err != nil || val != t.weight[best] {
 		panic("flow: tree weight disagrees with recomputed max-flow")
 	}
 	return val, side

@@ -140,7 +140,11 @@ func HaoOrlin(g *graph.Graph) (int64, []bool) {
 		// rest. Record it if it improves the best cut so far. ---
 		if excess[t] < best {
 			best = excess[t]
-			bestSide = invert(nw.reachableTo(t))
+			bestSide = make([]bool, n)
+			nw.residualReach(bestSide, []int32{t}, true, nil)
+			for v := range bestSide {
+				bestSide[v] = !bestSide[v]
+			}
 		}
 
 		// --- Move t into the source set and select a new sink. ---

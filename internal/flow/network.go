@@ -1,8 +1,11 @@
 // Package flow implements maximum-flow and flow-based minimum-cut
-// algorithms: Edmonds–Karp and push-relabel s-t max flow (verification
-// oracles and building blocks), and the Hao–Orlin global minimum-cut
-// algorithm — the strongest flow-based competitor in the paper's
-// experiments (HO-CGKLS, §4.1).
+// algorithms. One Dinic augmenting routine, reached through Progressive,
+// serves every s-t flow: single-pair minimum cuts (STMinCutCtx), the
+// Gomory–Hu flow-equivalent tree (GusfieldTree), minimum s-t cut
+// enumeration (STEnum) and the Karzanov–Timofeev steps of the
+// all-minimum-cuts pipeline. Beside it sits the Hao–Orlin global
+// minimum-cut algorithm — the strongest flow-based competitor in the
+// paper's experiments (HO-CGKLS, §4.1).
 package flow
 
 import (
@@ -16,7 +19,7 @@ import (
 // Arcs are allocated in pairs so the reverse of arc a is a^1.
 type network struct {
 	n     int
-	first []int32 // first[v]: index into arcHead/arcRes of v's arcs
+	first []int32 // first[v]: start of v's arc indices in ids
 	head  []int32 // arc target
 	res   []int64 // residual capacity
 	ids   []int32 // arc index lists, CSR by tail
@@ -75,46 +78,37 @@ func (nw *network) push(a int32, f int64) {
 	nw.res[a^1] += f
 }
 
-// reachableTo returns the set of vertices that can reach t along residual
-// arcs (including t itself). Because residual capacity of arc a from u
-// means u can move flow toward head(a), "v can reach t" means there is a
-// residual path v→...→t. We search backwards: from t along arcs whose
-// *reverse* has residual capacity.
-func (nw *network) reachableTo(t int32) []bool {
-	seen := make([]bool, nw.n)
-	seen[t] = true
-	stack := []int32{t}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, a := range nw.arcs(v) {
-			// Arc a is v→w; its reverse w→v has residual res[a^1].
-			w := nw.head[a]
-			if !seen[w] && nw.res[a^1] > 0 {
-				seen[w] = true
-				stack = append(stack, w)
-			}
+// residualReach marks in seen (length n) every vertex joined to roots
+// by residual arcs: every vertex reachable FROM the roots when toward is
+// false, every vertex that can REACH a root when toward is true (a
+// backward search along arcs whose reverse has residual capacity).
+// stack is scratch space; the emptied stack is returned so its backing
+// array can be reused by the next call.
+func (nw *network) residualReach(seen []bool, roots []int32, toward bool, stack []int32) []int32 {
+	rev := int32(0)
+	if toward {
+		rev = 1 // arc a is v→w; the arc w→v is a^1
+	}
+	for i := range seen {
+		seen[i] = false
+	}
+	stack = stack[:0]
+	for _, r := range roots {
+		if !seen[r] {
+			seen[r] = true
+			stack = append(stack, r)
 		}
 	}
-	return seen
-}
-
-// reachableFrom returns the set of vertices reachable from s along
-// residual arcs.
-func (nw *network) reachableFrom(s int32) []bool {
-	seen := make([]bool, nw.n)
-	seen[s] = true
-	stack := []int32{s}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, a := range nw.arcs(v) {
 			w := nw.head[a]
-			if !seen[w] && nw.res[a] > 0 {
+			if !seen[w] && nw.res[a^rev] > 0 {
 				seen[w] = true
 				stack = append(stack, w)
 			}
 		}
 	}
-	return seen
+	return stack
 }

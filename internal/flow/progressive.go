@@ -8,14 +8,17 @@ import (
 	"repro/internal/graph"
 )
 
-// Progressive is the residual-reuse companion of STEnum for the
-// Karzanov–Timofeev all-minimum-cuts recursion (internal/cactus): one
-// residual network is built once and shared across every step of the
-// recursion. The source is a growing SET of vertices (the contracted
-// prefix of the KT adjacency order); absorbing a vertex into the source
-// merely drops its conservation constraint, so the flow established in
-// earlier steps stays feasible and each step only AUGMENTS the shared
-// residual state instead of recomputing a max flow from scratch.
+// Progressive is the package's Dinic max-flow engine. Every s-t flow
+// runs through it: STMinCutCtx, STEnum and GusfieldTree use a single
+// source (GusfieldTree rewinds one instance with Reset between flows),
+// and the Karzanov–Timofeev all-minimum-cuts recursion
+// (internal/cactus) builds one residual network once and shares it
+// across every step of the recursion. There the source is a growing SET
+// of vertices (the contracted prefix of the KT adjacency order);
+// absorbing a vertex into the source merely drops its conservation
+// constraint, so the flow established in earlier steps stays feasible
+// and each step only AUGMENTS the shared residual state instead of
+// recomputing a max flow from scratch.
 //
 // Two facts make this sound:
 //
@@ -158,82 +161,53 @@ func (p *Progressive) MaxFlowTo(ctx context.Context, t int32, cap int64) (int64,
 	return v, nil
 }
 
-// STMinCutCtx computes the minimum s-t cut with a cancellable Dinic max
-// flow, returning the value and the s-side witness. Cancellation between
-// BFS phases aborts with ctx.Err().
+// STMinCutCtx computes a minimum s-t cut with a cancellable Dinic max
+// flow from a single-source Progressive, returning the value and the
+// source-minimal s-side witness: the vertices residual-reachable from s.
+// Out-of-range ids and s == t return an error; cancellation between BFS
+// phases aborts with ctx.Err().
 func STMinCutCtx(ctx context.Context, g *graph.Graph, s, t int32) (int64, []bool, error) {
-	checkST(g, s, t)
-	nw := newNetwork(g)
-	n := nw.n
-	v := dinicAugment(ctx, nw, []int32{s}, t, int64(math.MaxInt64),
-		make([]int32, n), make([]int32, n), make([]int32, 0, n))
-	if ctx != nil && ctx.Err() != nil {
-		return v, nil, ctx.Err()
+	if err := checkST(g, s, t); err != nil {
+		return 0, nil, err
 	}
-	return v, nw.reachableFrom(s), nil
+	p := NewProgressive(g, s)
+	v, err := p.MaxFlowTo(ctx, t, math.MaxInt64)
+	if err != nil {
+		return v, nil, err
+	}
+	return v, p.reachableFromSources(), nil
+}
+
+// checkST reports out-of-range or equal terminals.
+func checkST(g *graph.Graph, s, t int32) error {
+	n := int32(g.NumVertices())
+	if s < 0 || s >= n || t < 0 || t >= n {
+		return fmt.Errorf("flow: s=%d t=%d out of range n=%d", s, t, n)
+	}
+	if s == t {
+		return fmt.Errorf("flow: s == t == %d", s)
+	}
+	return nil
 }
 
 // reachableFromSources marks every vertex residual-reachable from the
 // source set in the reused p.fromS buffer.
 func (p *Progressive) reachableFromSources() []bool {
-	nw := p.nw
 	if p.fromS == nil {
-		p.fromS = make([]bool, nw.n)
+		p.fromS = make([]bool, p.nw.n)
 	}
-	seen := p.fromS
-	for i := range seen {
-		seen[i] = false
-	}
-	stack := p.stack[:0]
-	for _, s := range p.sources {
-		if !seen[s] {
-			seen[s] = true
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, a := range nw.arcs(v) {
-			w := nw.head[a]
-			if !seen[w] && nw.res[a] > 0 {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	p.stack = stack[:0]
-	return seen
+	p.stack = p.nw.residualReach(p.fromS, p.sources, false, p.stack)
+	return p.fromS
 }
 
-// reachableToBuf marks every vertex that can reach t along residual arcs
-// in the reused p.toT buffer (the scratch-owning variant of
-// network.reachableTo).
-func (p *Progressive) reachableToBuf(t int32) []bool {
-	nw := p.nw
+// reachableTo marks every vertex that can reach t along residual arcs in
+// the reused p.toT buffer.
+func (p *Progressive) reachableTo(t int32) []bool {
 	if p.toT == nil {
-		p.toT = make([]bool, nw.n)
+		p.toT = make([]bool, p.nw.n)
 	}
-	seen := p.toT
-	for i := range seen {
-		seen[i] = false
-	}
-	seen[t] = true
-	stack := append(p.stack[:0], t)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, a := range nw.arcs(v) {
-			// Arc a is v→w; its reverse w→v has residual res[a^1].
-			w := nw.head[a]
-			if !seen[w] && nw.res[a^1] > 0 {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	p.stack = stack[:0]
-	return seen
+	p.stack = p.nw.residualReach(p.toT, []int32{t}, true, p.stack)
+	return p.toT
 }
 
 // ChainCuts lists every minimum source-set/t cut of the current residual
@@ -253,60 +227,44 @@ func (p *Progressive) reachableToBuf(t int32) []bool {
 // equal to the global minimum λ) certifies an internal inconsistency in
 // the caller's cut family, never a benign condition.
 func (p *Progressive) ChainCuts(t int32, emit func(tSide []bool, added []int32) bool) (int, error) {
-	nw := p.nw
-	n := nw.n
-	fromS := p.reachableFromSources()
-	if fromS[t] {
-		return 0, fmt.Errorf("flow: chain extraction with an augmenting path left (flow not maximum)")
-	}
-	toT := p.reachableToBuf(t)
-
-	scc, nscc := residualSCC(nw)
-	state := make([]int8, nscc)
-	for v := 0; v < n; v++ {
-		switch {
-		case fromS[v]:
-			state[scc[v]] = sccMandatory
-		case toT[v]:
-			state[scc[v]] = sccForbidden
-		}
+	n := p.nw.n
+	d, err := p.condense(t)
+	if err != nil {
+		return 0, err
 	}
 	nfree := 0
-	for c := 0; c < nscc; c++ {
-		if state[c] == sccFree {
+	for _, st := range d.state {
+		if st == sccFree {
 			nfree++
 		}
 	}
-
-	succ, order := freeSCCDAG(nw, scc, state, nscc)
-	if len(order) != nfree {
-		return 0, fmt.Errorf("flow: residual free components contain a cycle (%d of %d ordered)", len(order), nfree)
+	if len(d.order) != nfree {
+		return 0, fmt.Errorf("flow: residual free components contain a cycle (%d of %d ordered)", len(d.order), nfree)
 	}
 	// Chain certification: the free DAG must be a total order, i.e. every
 	// consecutive pair in the (then unique) topological order is joined by
 	// a direct arc. Any incomparable pair would yield crossing minimum
 	// cuts, impossible for a KT step with the target adjacent to the
 	// source set.
-	for i := 0; i+1 < len(order); i++ {
+	for i := 0; i+1 < len(d.order); i++ {
 		direct := false
-		for _, d := range succ[order[i]] {
-			if d == order[i+1] {
+		for _, c := range d.succ[d.order[i]] {
+			if c == d.order[i+1] {
 				direct = true
 				break
 			}
 		}
 		if !direct {
-			return 0, fmt.Errorf("flow: minimum cuts of a KT step do not form a chain (free components %d and %d incomparable)", order[i], order[i+1])
+			return 0, fmt.Errorf("flow: minimum cuts of a KT step do not form a chain (free components %d and %d incomparable)", d.order[i], d.order[i+1])
 		}
 	}
 
 	// Vertices per free SCC, so the sweep below adds each component in
 	// O(|component|).
-	members := make([][]int32, nscc)
-	for v := int32(0); v < int32(n); v++ {
-		c := scc[v]
-		if state[c] == sccFree {
-			members[c] = append(members[c], v)
+	members := make([][]int32, d.nscc)
+	for v, c := range d.scc {
+		if d.state[c] == sccFree {
+			members[c] = append(members[c], int32(v))
 		}
 	}
 
@@ -317,12 +275,12 @@ func (p *Progressive) ChainCuts(t int32, emit func(tSide []bool, added []int32) 
 		p.side = make([]bool, n)
 	}
 	side := p.side
-	copy(side, toT)
+	copy(side, p.toT)
 	count := 1
 	if !emit(side, nil) {
 		return count, nil
 	}
-	for _, c := range order {
+	for _, c := range d.order {
 		for _, v := range members[c] {
 			side[v] = true
 		}

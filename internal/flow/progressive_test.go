@@ -51,7 +51,7 @@ func contractPrefix(g *graph.Graph, order []int32, i int) (*graph.Graph, []int32
 
 // TestProgressiveMatchesScratchFlows drives the KT step sequence on
 // random connected graphs and checks every per-step max-flow value
-// against a from-scratch Dinic on the prefix-contracted graph.
+// against the Edmonds–Karp oracle on the prefix-contracted graph.
 func TestProgressiveMatchesScratchFlows(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		for _, n := range []int{5, 9, 14} {
@@ -67,7 +67,7 @@ func TestProgressiveMatchesScratchFlows(t *testing.T) {
 				}
 				tgt := order[i]
 				cg, labels := contractPrefix(g, order, i)
-				want, _ := MaxFlowDinic(cg, 0, labels[tgt])
+				want, _ := MaxFlowEK(cg, 0, labels[tgt])
 				got, _ := p.MaxFlowTo(context.Background(), tgt, want) // cap = exact value: must reach it
 				if got != want {
 					t.Fatalf("seed %d n %d step %d: progressive flow %d, scratch %d", seed, n, i, got, want)

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"repro/internal/graph"
@@ -20,17 +21,10 @@ import (
 // full enumeration is cheap. For arbitrary s-t pairs the number of minimum
 // cuts can be exponential; Enumerate's callback can stop early.
 type STEnum struct {
-	nw    *network
-	s, t  int32
+	p     *Progressive
+	t     int32
 	value int64
-
-	// Residual SCC condensation, built lazily on first Enumerate.
-	scc      []int32 // vertex -> SCC id
-	nscc     int
-	prepared bool
-	state    []int8 // per SCC: mandatory / forbidden / free
-	succ     [][]int32
-	order    []int32 // free SCCs in topological order (edges point forward)
+	dag   residualDAG // built lazily on first Enumerate or Count
 }
 
 const (
@@ -39,15 +33,18 @@ const (
 	sccForbidden
 )
 
-// NewSTEnum computes a maximum s-t flow of g (Dinic) and returns the
-// enumerator. Value and a canonical witness are available immediately;
-// Enumerate lists every minimum s-t cut.
+// NewSTEnum computes a maximum s-t flow of g (Dinic, through a
+// single-source Progressive) and returns the enumerator. Value is
+// available immediately; Enumerate lists every minimum s-t cut. It
+// panics on out-of-range ids or s == t.
 func NewSTEnum(g *graph.Graph, s, t int32) *STEnum {
-	checkST(g, s, t)
-	nw := newNetwork(g)
-	e := &STEnum{nw: nw, s: s, t: t}
-	e.value = dinic(nw, s, t)
-	return e
+	if err := checkST(g, s, t); err != nil {
+		panic(err)
+	}
+	p := NewProgressive(g, s)
+	// A Background context never cancels, so MaxFlowTo cannot fail.
+	v, _ := p.MaxFlowTo(context.Background(), t, math.MaxInt64)
+	return &STEnum{p: p, t: t, value: v}
 }
 
 // Value returns the maximum flow value = minimum s-t cut weight.
@@ -59,16 +56,16 @@ func (e *STEnum) Value() int64 { return e.value }
 // equals the number of distinct minimum s-t cuts.
 func (e *STEnum) Enumerate(emit func(sSide []bool) bool) {
 	e.prepare()
-	n := e.nw.n
+	n := len(e.dag.scc)
 	// Start from the mandatory SCCs; the recursion toggles free ones.
-	inCut := make([]bool, e.nscc)
-	for c := 0; c < e.nscc; c++ {
-		inCut[c] = e.state[int32(c)] == sccMandatory
+	inCut := make([]bool, e.dag.nscc)
+	for c := 0; c < e.dag.nscc; c++ {
+		inCut[c] = e.dag.state[c] == sccMandatory
 	}
 	side := make([]bool, n)
 	emitCurrent := func() bool {
 		for v := 0; v < n; v++ {
-			side[v] = inCut[e.scc[v]]
+			side[v] = inCut[e.dag.scc[v]]
 		}
 		return emit(side)
 	}
@@ -81,13 +78,13 @@ func (e *STEnum) Enumerate(emit func(sSide []bool) bool) {
 		if i < 0 {
 			return emitCurrent()
 		}
-		c := e.order[i]
+		c := e.dag.order[i]
 		// Branch 1: exclude c (always a valid extension).
 		if !rec(i - 1) {
 			return false
 		}
 		// Branch 2: include c if closure allows.
-		for _, d := range e.succ[c] {
+		for _, d := range e.dag.succ[c] {
 			if !inCut[d] {
 				return true
 			}
@@ -97,7 +94,7 @@ func (e *STEnum) Enumerate(emit func(sSide []bool) bool) {
 		inCut[c] = false
 		return ok
 	}
-	rec(len(e.order) - 1)
+	rec(len(e.dag.order) - 1)
 }
 
 // Count returns the number of distinct minimum s-t cuts, capped at limit
@@ -106,18 +103,18 @@ func (e *STEnum) Enumerate(emit func(sSide []bool) bool) {
 func (e *STEnum) Count(limit int) int {
 	e.prepare()
 	count := 0
-	inCut := make([]bool, e.nscc)
+	inCut := make([]bool, e.dag.nscc)
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i < 0 {
 			count++
 			return limit <= 0 || count < limit
 		}
-		c := e.order[i]
+		c := e.dag.order[i]
 		if !rec(i - 1) {
 			return false
 		}
-		for _, d := range e.succ[c] {
+		for _, d := range e.dag.succ[c] {
 			if !inCut[d] {
 				return true
 			}
@@ -127,47 +124,67 @@ func (e *STEnum) Count(limit int) int {
 		inCut[c] = false
 		return ok
 	}
-	rec(len(e.order) - 1)
+	rec(len(e.dag.order) - 1)
 	return count
 }
 
-// prepare builds the residual SCC condensation and classifies components:
-// those residual-reachable from s are in every cut side, those that
-// residual-reach t are in none, the rest are free.
+// prepare builds the residual SCC condensation of the maximum flow.
 func (e *STEnum) prepare() {
-	if e.prepared {
+	if e.dag.scc != nil {
 		return
 	}
-	e.prepared = true
-	e.scc, e.nscc = residualSCC(e.nw)
+	d, err := e.p.condense(e.t)
+	if err != nil {
+		panic(err) // unreachable: NewSTEnum ran an exact max flow
+	}
+	e.dag = d
+}
 
-	e.state = make([]int8, e.nscc)
-	fromS := e.nw.reachableFrom(e.s)
-	toT := e.nw.reachableTo(e.t)
-	for v := 0; v < e.nw.n; v++ {
+// residualDAG is the Picard–Queyranne structure of a maximum flow from a
+// source set to a target t: the strongly connected components of the
+// residual graph, each classified as mandatory (residual-reachable from
+// the source set, so on the source side of every minimum cut), forbidden
+// (reaches t, so on the t side of every minimum cut) or free, plus the
+// DAG of the free ones. The source sides of the minimum cuts are exactly
+// the mandatory components plus a successor-closed set of free ones.
+type residualDAG struct {
+	scc   []int32 // vertex -> SCC id
+	nscc  int
+	state []int8    // per SCC: mandatory / forbidden / free
+	succ  [][]int32 // per free SCC: its free residual successors
+	order []int32   // free SCCs in topological order (edges point forward)
+}
+
+// condense builds the residualDAG of p's current flow toward t, leaving
+// the two reachability sets in p.fromS and p.toT. STEnum and ChainCuts
+// both classify the residual structure through it. Edges from a free SCC
+// into a mandatory one are always satisfied and edges into a forbidden
+// one cannot exist (reaching it reaches t), so succ keeps free targets
+// only. An error means an augmenting path is left: the flow toward t is
+// not maximum.
+func (p *Progressive) condense(t int32) (residualDAG, error) {
+	nw := p.nw
+	fromS := p.reachableFromSources()
+	if fromS[t] {
+		return residualDAG{}, fmt.Errorf("flow: augmenting path left toward %d (flow not maximum)", t)
+	}
+	toT := p.reachableTo(t)
+	scc, nscc := residualSCC(nw)
+	state := make([]int8, nscc)
+	for v, c := range scc {
 		switch {
 		case fromS[v]:
-			e.state[e.scc[v]] = sccMandatory
+			state[c] = sccMandatory
 		case toT[v]:
-			e.state[e.scc[v]] = sccForbidden
+			state[c] = sccForbidden
 		}
 	}
 
-	e.succ, e.order = freeSCCDAG(e.nw, e.scc, e.state, e.nscc)
-}
-
-// freeSCCDAG builds the successor lists of the free residual SCCs (edges
-// into mandatory SCCs are always satisfied; edges into forbidden SCCs
-// cannot exist from free SCCs, since reaching a forbidden SCC reaches t)
-// and their Kahn topological order. Shared by STEnum.prepare and
-// Progressive.ChainCuts so the two enumeration strategies classify the
-// residual structure identically.
-func freeSCCDAG(nw *network, scc []int32, state []int8, nscc int) (succ [][]int32, order []int32) {
 	seen := make([]int32, nscc)
 	for i := range seen {
 		seen[i] = -1
 	}
-	succ = make([][]int32, nscc)
+	succ := make([][]int32, nscc)
 	indeg := make([]int32, nscc)
 	for v := int32(0); v < int32(nw.n); v++ {
 		cv := scc[v]
@@ -187,7 +204,7 @@ func freeSCCDAG(nw *network, scc []int32, state []int8, nscc int) (succ [][]int3
 			indeg[cw]++
 		}
 	}
-	order = make([]int32, 0, nscc)
+	order := make([]int32, 0, nscc)
 	for c := int32(0); c < int32(nscc); c++ {
 		if state[c] == sccFree && indeg[c] == 0 {
 			order = append(order, c)
@@ -201,7 +218,7 @@ func freeSCCDAG(nw *network, scc []int32, state []int8, nscc int) (succ [][]int3
 			}
 		}
 	}
-	return succ, order
+	return residualDAG{scc: scc, nscc: nscc, state: state, succ: succ, order: order}, nil
 }
 
 // residualSCC computes the strongly connected components of the residual
@@ -287,21 +304,12 @@ func residualSCC(nw *network) ([]int32, int) {
 	return comp, nscc
 }
 
-// dinic computes a maximum s-t flow on nw in place and returns its value.
-// Unlike the push-relabel solver it terminates with a genuine flow (not a
-// preflow), which the Picard–Queyranne correspondence requires.
-func dinic(nw *network, s, t int32) int64 {
-	n := nw.n
-	return dinicAugment(nil, nw, []int32{s}, t, math.MaxInt64,
-		make([]int32, n), make([]int32, n), make([]int32, 0, n))
-}
-
 // dinicAugment augments nw in place toward a maximum flow from the
 // source set to t and returns the value pushed, stopping early once it
 // exceeds cap (pass math.MaxInt64 for an unconditional max flow). The
 // scratch slices level and it must have length nw.n; queue only needs
-// its backing capacity. Shared by the single-pair solver (dinic) and the
-// KT recursion's shared-residual stepping (Progressive.MaxFlowTo).
+// its backing capacity. It is the package's only augmenting routine,
+// reached through Progressive.MaxFlowTo.
 //
 // A non-nil ctx is checked at every BFS phase boundary (each phase is one
 // blocking-flow computation); cancellation stops augmenting and returns
@@ -376,14 +384,4 @@ func dinicAugment(ctx context.Context, nw *network, sources []int32, t int32, ca
 		}
 	}
 	return total
-}
-
-// MaxFlowDinic computes the s-t maximum flow with Dinic's algorithm and
-// returns the flow value and the s-side of a minimum s-t cut. It is the
-// flow routine behind STEnum, exposed for the differential test suite.
-func MaxFlowDinic(g *graph.Graph, s, t int32) (int64, []bool) {
-	checkST(g, s, t)
-	nw := newNetwork(g)
-	v := dinic(nw, s, t)
-	return v, nw.reachableFrom(s)
 }

@@ -120,7 +120,9 @@ func TestSTEnumRandom(t *testing.T) {
 	}
 }
 
-func TestMaxFlowDinicMatchesPR(t *testing.T) {
+// TestSTMinCutMatchesEK checks both Dinic entry points — STMinCutCtx
+// and STEnum's flow — against the Edmonds–Karp oracle.
+func TestSTMinCutMatchesEK(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		n := 5 + int(seed%8)
 		g := gen.ConnectedGNM(n, 2*n, seed)
@@ -129,10 +131,13 @@ func TestMaxFlowDinicMatchesPR(t *testing.T) {
 			if s == tt {
 				continue
 			}
-			dv, dside := MaxFlowDinic(g, s, tt)
-			pv, _ := MaxFlowPR(g, s, tt)
-			if dv != pv {
-				t.Fatalf("seed %d: Dinic %d != push-relabel %d", seed, dv, pv)
+			dv, dside := dinicSTCut(g, s, tt)
+			ev, _ := MaxFlowEK(g, s, tt)
+			if dv != ev {
+				t.Fatalf("seed %d: Dinic %d != Edmonds–Karp %d", seed, dv, ev)
+			}
+			if v := NewSTEnum(g, s, tt).Value(); v != ev {
+				t.Fatalf("seed %d: STEnum value %d != Edmonds–Karp %d", seed, v, ev)
 			}
 			// The Dinic witness must evaluate to the flow value.
 			var cut int64

@@ -159,8 +159,10 @@ func (s *Snapshot) AllMinCuts(ctx context.Context) (*AllCuts, error) {
 func (s *Snapshot) CutValue(side []bool) int64 { return CutValue(s.g, side) }
 
 // STMinCut computes a minimum s-t cut (value and source-side witness)
-// with Dinic's algorithm on the snapshot's graph. Not cached — the
-// (s,t) key space is quadratic. Cancellation is checked per BFS phase.
+// with Dinic's algorithm on the snapshot's graph; the witness is the
+// source-minimal minimum cut, the vertices residual-reachable from src.
+// Not cached — the (s,t) key space is quadratic. Out-of-range ids and
+// src == dst return an error. Cancellation is checked per BFS phase.
 func (s *Snapshot) STMinCut(ctx context.Context, src, dst int32) (int64, []bool, error) {
 	return flow.STMinCutCtx(ctx, s.g, src, dst)
 }

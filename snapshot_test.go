@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -70,6 +71,29 @@ func TestSnapshotQueriesMatchFreeFunctions(t *testing.T) {
 	st := s.Stats()
 	if st.Vertices != 10 || st.Components != 1 || st.MinDegree != 4 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestSnapshotSTMinCutRejectsBadIDs checks that STMinCut reports
+// out-of-range ids and src == dst as errors instead of panicking, and
+// that its witness is the same source-minimal side MinSTCut returns.
+func TestSnapshotSTMinCutRejectsBadIDs(t *testing.T) {
+	g := ringGraph(t, 4)
+	s := NewSnapshot(g, SnapshotOptions{})
+	ctx := context.Background()
+	for _, st := range [][2]int32{{0, 9}, {9, 0}, {-1, 2}, {2, -1}, {0, 4}, {2, 2}} {
+		v, side, err := s.STMinCut(ctx, st[0], st[1])
+		if err == nil || side != nil {
+			t.Errorf("STMinCut(%d, %d) = (%d, %v, %v), want an error and no side", st[0], st[1], v, side, err)
+		}
+	}
+	v, side, err := s.STMinCut(ctx, 0, 2)
+	if err != nil || v != 2 {
+		t.Fatalf("STMinCut(0, 2) = (%d, %v), want 2", v, err)
+	}
+	wantV, wantSide := MinSTCut(g, 0, 2)
+	if v != wantV || !reflect.DeepEqual(side, wantSide) {
+		t.Fatalf("STMinCut side %v, MinSTCut side %v", side, wantSide)
 	}
 }
 

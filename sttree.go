@@ -1,6 +1,8 @@
 package mincut
 
 import (
+	"context"
+
 	"repro/internal/flow"
 )
 
@@ -14,5 +16,15 @@ type FlowTree = flow.FlowTree
 func BuildFlowTree(g *Graph) *FlowTree { return flow.GusfieldTree(g) }
 
 // MinSTCut returns the minimum cut value separating s and t and a witness
-// side containing s, via push-relabel max-flow.
-func MinSTCut(g *Graph, s, t int32) (int64, []bool) { return flow.MinSTCut(g, s, t) }
+// side containing s, computed with Dinic's max flow. The witness is the
+// source-minimal minimum cut: exactly the vertices residual-reachable
+// from s, the same side Snapshot.STMinCut returns. MinSTCut panics if s
+// or t is out of range or s == t; Snapshot.STMinCut returns an error
+// instead.
+func MinSTCut(g *Graph, s, t int32) (int64, []bool) {
+	val, side, err := flow.STMinCutCtx(context.Background(), g, s, t)
+	if err != nil {
+		panic(err)
+	}
+	return val, side
+}
