@@ -33,8 +33,9 @@ type Kernel struct {
 // Each round runs CAPFOREST with the fixed threshold λ+1 — certifying
 // connectivity λ(x,y) ≥ λ+1 for every marked edge, hence that no minimum
 // cut separates x and y — unions the certified pairs in a (concurrent)
-// disjoint-set structure, and contracts with the §3.2 parallel scatter
-// pipeline. Rounds repeat until a fixpoint. workers ≤ 0 means GOMAXPROCS.
+// disjoint-set structure, and contracts with the parallel block-owned
+// gather (graph.ContractParallel). Rounds repeat until a fixpoint.
+// workers ≤ 0 means GOMAXPROCS.
 // Cancellation is checked at round boundaries; the partial kernel is
 // returned with ctx.Err() and is still all-cuts-preserving (every
 // completed contraction was individually certified), just less contracted.

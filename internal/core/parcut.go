@@ -92,12 +92,17 @@ func ParallelMinimumCut(ctx context.Context, g *graph.Graph, opts Options) (Resu
 	if n < 2 {
 		return Result{}, ctx.Err()
 	}
-	if comp, k := g.Components(); k > 1 {
-		side := make([]bool, n)
-		for v, c := range comp {
-			side[v] = c == 0
+	// A disconnected graph has the empty cut around the component of
+	// vertex 0. VieCut checks connectivity first and answers exactly that
+	// with Value 0, so only the ablation without VieCut looks itself.
+	if opts.DisableVieCut {
+		if comp, k := g.Components(); k > 1 {
+			side := make([]bool, n)
+			for v, c := range comp {
+				side[v] = c == 0
+			}
+			return Result{Value: 0, Side: side}, ctx.Err()
 		}
-		return Result{Value: 0, Side: side}, ctx.Err()
 	}
 
 	res := Result{Value: math.MaxInt64}
@@ -117,6 +122,9 @@ func ParallelMinimumCut(ctx context.Context, g *graph.Graph, opts Options) (Resu
 		start := time.Now()
 		vc := viecut.Run(g, viecut.Options{Workers: workers, Seed: opts.Seed})
 		res.Timing.VieCut = time.Since(start)
+		if vc.Value == 0 {
+			return Result{Value: 0, Side: vc.Side, Timing: res.Timing}, ctx.Err()
+		}
 		res.VieCutValue = vc.Value
 		if vc.Value < res.Value {
 			res.Value = vc.Value

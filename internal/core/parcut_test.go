@@ -141,23 +141,38 @@ func TestVieCutAblation(t *testing.T) {
 }
 
 func TestDisconnectedAndTrivial(t *testing.T) {
-	if res, _ := ParallelMinimumCut(context.Background(), graph.NewBuilder(0).MustBuild(), defaultOpts(2)); res.Value != 0 {
-		t.Error("empty graph")
-	}
-	if res, _ := ParallelMinimumCut(context.Background(), graph.NewBuilder(1).MustBuild(), defaultOpts(2)); res.Value != 0 {
-		t.Error("singleton")
-	}
-	b := graph.NewBuilder(6)
-	b.AddEdge(0, 1, 2)
-	b.AddEdge(1, 2, 2)
-	b.AddEdge(3, 4, 2)
-	g := b.MustBuild()
-	res, _ := ParallelMinimumCut(context.Background(), g, defaultOpts(4))
-	if res.Value != 0 {
-		t.Fatalf("disconnected = %d, want 0", res.Value)
-	}
-	if err := verify.ValidateWitness(g, res.Side, 0); err != nil {
-		t.Fatal(err)
+	for _, disable := range []bool{false, true} {
+		opts := defaultOpts(2)
+		opts.DisableVieCut = disable
+		if res, _ := ParallelMinimumCut(context.Background(), graph.NewBuilder(0).MustBuild(), opts); res.Value != 0 {
+			t.Errorf("DisableVieCut=%v: empty graph", disable)
+		}
+		if res, _ := ParallelMinimumCut(context.Background(), graph.NewBuilder(1).MustBuild(), opts); res.Value != 0 {
+			t.Errorf("DisableVieCut=%v: singleton", disable)
+		}
+		// Components {0,1,2} and {3,4}, then the same with an isolated
+		// vertex 5: the witness is always the component of vertex 0, never
+		// the minimum-degree vertex.
+		for _, n := range []int{5, 6} {
+			b := graph.NewBuilder(n)
+			b.AddEdge(0, 1, 2)
+			b.AddEdge(1, 2, 2)
+			b.AddEdge(3, 4, 2)
+			g := b.MustBuild()
+			opts.Workers = 4
+			res, _ := ParallelMinimumCut(context.Background(), g, opts)
+			if res.Value != 0 {
+				t.Fatalf("DisableVieCut=%v n=%d: disconnected = %d, want 0", disable, n, res.Value)
+			}
+			for v, in := range res.Side {
+				if in != (v <= 2) {
+					t.Fatalf("DisableVieCut=%v n=%d: side %v, want the component of vertex 0", disable, n, res.Side)
+				}
+			}
+			if err := verify.ValidateWitness(g, res.Side, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

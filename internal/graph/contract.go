@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cht"
 )
@@ -38,28 +37,28 @@ func NewMappingFromLabels(labels []int32) Mapping {
 
 // Contract builds the contracted graph G/Mapping: one vertex per block,
 // edges between distinct blocks aggregated by weight, intra-block edges
-// dropped. It runs the scatter pipeline single-threaded; see
-// ContractParallel for the shared-memory parallel version.
+// dropped. Adjacency lists come out neighbor-sorted. It runs the
+// block-owned gather single-threaded; see ContractParallel for the
+// shared-memory parallel version.
 func (g *Graph) Contract(m Mapping) *Graph {
 	if len(m.Block) != g.NumVertices() {
 		panic(fmt.Sprintf("graph: mapping length %d != n %d", len(m.Block), g.NumVertices()))
 	}
-	return g.contractScatter(m, 1)
+	return g.contractGather(m, 1)
 }
 
-// ContractParallel is Contract parallelized three-phase and map-free:
-// (1) workers count the crossing arcs per block over disjoint vertex
-// ranges, (2) scatter them into per-block segments through atomic
-// cursors, (3) sort and aggregate each block's segment in place. The
-// result is identical to Contract regardless of thread interleaving
-// (adjacency lists come out neighbor-sorted). workers ≤ 0 means
-// GOMAXPROCS.
+// ContractParallel is Contract with the block-owned gather spread over
+// workers: each worker owns a range of whole blocks and writes them only
+// into result slots fixed before it starts, so the CSR is byte-identical
+// to Contract's for every worker count and interleaving. workers ≤ 0 means
+// GOMAXPROCS; graphs with fewer than 4096 vertices are contracted by one
+// worker.
 //
 // This is an engineering refinement over the paper's §3.2 scheme (worker
-// maps flushed into a shared concurrent hash table): profiling showed
-// hash operations dominating the solver on dense graphs, and the scatter
-// pipeline is 3-5× faster. The paper-faithful implementation remains
-// available as ContractParallelCHT and in the ablation benchmarks.
+// maps flushed into a shared concurrent hash table): it needs no atomics,
+// no hashing and no per-arc sort. The paper-faithful implementation
+// remains available as ContractParallelCHT and in the ablation
+// benchmarks.
 func (g *Graph) ContractParallel(m Mapping, workers int) *Graph {
 	if len(m.Block) != g.NumVertices() {
 		panic(fmt.Sprintf("graph: mapping length %d != n %d", len(m.Block), g.NumVertices()))
@@ -74,121 +73,182 @@ func (g *Graph) ContractParallel(m Mapping, workers int) *Graph {
 	if workers <= 1 || n < 1<<12 {
 		workers = 1
 	}
-	return g.contractScatter(m, workers)
+	return g.contractGather(m, workers)
 }
 
-// contractScatter is the three-phase contraction shared by Contract
-// (workers = 1) and ContractParallel.
-func (g *Graph) contractScatter(m Mapping, workers int) *Graph {
-	n := g.NumVertices()
-	nc := m.NumBlocks
+// contractGather is the block-owned contraction shared by Contract
+// (workers = 1) and ContractParallel:
+//
+//   - pass 0, over vertex ranges: cross[u] counts the arcs leaving u's
+//     block;
+//   - a counting sort lists each block's boundary vertices (cross > 0) in
+//     ascending id order, and the blocks are split into worker ranges of
+//     equal crossing-arc volume;
+//   - pass 1, over the block ranges: each worker stamps the distinct
+//     neighbor blocks of its blocks and counts, per neighbor c, how many of
+//     its blocks touch c. That gives the exact xadj and, because the
+//     contracted graph is symmetric, each worker's slots in every row;
+//   - pass 2, over the same ranges: each worker sums a block b's arcs into
+//     a dense accumulator and appends b, with the summed weight, to the row
+//     of every block it touched.
+//
+// Workers own ascending block ranges and visit their blocks in ascending
+// order, so every row fills in ascending neighbor order without a sort.
+// Pass 0 keeps interior arcs out of the block-owned passes, so a few huge
+// blocks do not leave all the scanning to one worker.
+func (g *Graph) contractGather(m Mapping, workers int) *Graph {
+	n, nc := g.NumVertices(), m.NumBlocks
+	block := m.Block
 
-	// Phase 1: count crossing arcs per source block.
-	cnt := make([]atomicInt32Pad, nc)
+	// Pass 0.
+	cross := make([]int32, n)
 	parallelRanges(n, workers, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
-			bu := m.Block[u]
-			for i := g.xadj[u]; i < g.xadj[u+1]; i++ {
-				if m.Block[g.adj[i]] != bu {
-					cnt[bu].v.Add(1)
+			bu := block[u]
+			var c int32
+			for _, v := range g.adj[g.xadj[u]:g.xadj[u+1]] {
+				if block[v] != bu {
+					c++
 				}
 			}
+			cross[u] = c
 		}
 	})
-	offs := make([]int, nc+1)
-	for b := 0; b < nc; b++ {
-		offs[b+1] = offs[b] + int(cnt[b].v.Load())
+
+	// Member lists: members[first[b]:first[b+1]] are b's boundary vertices.
+	first := make([]int32, nc+1)
+	total := 0
+	for u, c := range cross {
+		if c > 0 {
+			first[block[u]+1]++
+			total += int(c)
+		}
 	}
-	total := offs[nc]
 	if total == 0 {
-		h, err := FromEdges(nc, nil)
-		if err != nil {
-			panic(err)
-		}
-		return h
+		return &Graph{xadj: make([]int, nc+1), adj: []int32{}, wgt: []int64{}, deg: make([]int64, nc)}
 	}
-
-	// Phase 2: scatter (block-neighbor, weight) into per-block segments.
-	sAdj := make([]int32, total)
-	sWgt := make([]int64, total)
-	curs := make([]atomicInt32Pad, nc)
-	parallelRanges(n, workers, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			bu := m.Block[u]
-			for i := g.xadj[u]; i < g.xadj[u+1]; i++ {
-				bv := m.Block[g.adj[i]]
-				if bv == bu {
-					continue
-				}
-				slot := offs[bu] + int(curs[bu].v.Add(1)) - 1
-				sAdj[slot] = bv
-				sWgt[slot] = g.wgt[i]
-			}
+	for b := 1; b <= nc; b++ {
+		first[b] += first[b-1]
+	}
+	members := make([]int32, first[nc])
+	for u, c := range cross {
+		if c > 0 {
+			b := block[u]
+			members[first[b]] = int32(u)
+			first[b]++
 		}
-	})
+	}
+	copy(first[1:], first[:nc]) // the fill advanced first[b] to b's end
+	first[0] = 0
 
-	// Phase 3: per-block sort + in-place aggregation.
-	uniq := make([]int, nc)
-	deg := make([]int64, nc)
-	parallelRanges(nc, workers, func(lo, hi int) {
+	// Worker ranges of blocks with equal crossing-arc volume.
+	bounds := make([]int, workers+1)
+	for b, w, vol := 0, 1, 0; w < workers; b++ {
+		for _, u := range members[first[b]:first[b+1]] {
+			vol += int(cross[u])
+		}
+		for ; w < workers && vol*workers >= w*total; w++ {
+			bounds[w] = b + 1
+		}
+	}
+	bounds[workers] = nc
+
+	// Pass 1. slot[w][c] counts worker w's blocks adjacent to c.
+	slot := make([][]int, workers)
+	runWorkers(bounds, func(w, lo, hi int) {
+		cnt := make([]int, nc)
+		stamp := make([]int32, nc) // stamp[c] == b+1: c already seen from b
 		for b := lo; b < hi; b++ {
-			seg := &adjSorter{sAdj[offs[b]:offs[b+1]], sWgt[offs[b]:offs[b+1]]}
-			sort.Sort(seg)
-			a, w := seg.adj, seg.wgt
-			k := 0
-			var d int64
-			for i := 0; i < len(a); i++ {
-				d += w[i]
-				if k > 0 && a[k-1] == a[i] {
-					w[k-1] += w[i]
-				} else {
-					a[k], w[k] = a[i], w[i]
-					k++
+			mark := int32(b) + 1
+			stamp[b] = mark // no loops
+			for _, u := range members[first[b]:first[b+1]] {
+				for _, v := range g.adj[g.xadj[u]:g.xadj[u+1]] {
+					if c := block[v]; stamp[c] != mark {
+						stamp[c] = mark
+						cnt[c]++
+					}
 				}
 			}
-			uniq[b] = k
-			deg[b] = d
 		}
+		slot[w] = cnt
 	})
 
-	// Assemble the final CSR from the compacted segments.
+	// Row lengths and each worker's first slot in every row.
 	xadj := make([]int, nc+1)
-	for b := 0; b < nc; b++ {
-		xadj[b+1] = xadj[b] + uniq[b]
+	for c := 0; c < nc; c++ {
+		at := xadj[c]
+		for _, cnt := range slot {
+			if cnt != nil {
+				cnt[c], at = at, at+cnt[c]
+			}
+		}
+		xadj[c+1] = at
 	}
+
+	// Pass 2. Weights are positive, so a zero sum marks an untouched block;
+	// b itself collects its interior weight and is skipped when writing.
 	adj := make([]int32, xadj[nc])
 	wgt := make([]int64, xadj[nc])
-	parallelRanges(nc, workers, func(lo, hi int) {
+	deg := make([]int64, nc)
+	runWorkers(bounds, func(w, lo, hi int) {
+		next := slot[w]
+		sum := make([]int64, nc)
+		var touched []int32
 		for b := lo; b < hi; b++ {
-			copy(adj[xadj[b]:xadj[b+1]], sAdj[offs[b]:offs[b]+uniq[b]])
-			copy(wgt[xadj[b]:xadj[b+1]], sWgt[offs[b]:offs[b]+uniq[b]])
+			touched = touched[:0]
+			for _, u := range members[first[b]:first[b+1]] {
+				for i := g.xadj[u]; i < g.xadj[u+1]; i++ {
+					c := block[g.adj[i]]
+					if sum[c] == 0 {
+						touched = append(touched, c)
+					}
+					sum[c] += g.wgt[i]
+				}
+			}
+			var d int64
+			for _, c := range touched {
+				if c != int32(b) {
+					adj[next[c]], wgt[next[c]] = int32(b), sum[c]
+					next[c]++
+					d += sum[c]
+				}
+				sum[c] = 0
+			}
+			deg[b] = d
 		}
 	})
 	return &Graph{xadj: xadj, adj: adj, wgt: wgt, deg: deg}
 }
 
-// atomicInt32Pad pads the per-block atomic counters to a cache line to
-// avoid false sharing between neighboring blocks during phases 1 and 2.
-type atomicInt32Pad struct {
-	v atomic.Int32
-	_ [60]byte
+// parallelRanges runs fn over [0,n) split into equal worker chunks and
+// waits.
+func parallelRanges(n, workers int, fn func(lo, hi int)) {
+	chunk := (n + workers - 1) / workers
+	bounds := make([]int, workers+1)
+	for w := range bounds {
+		bounds[w] = min(w*chunk, n)
+	}
+	runWorkers(bounds, func(_, lo, hi int) { fn(lo, hi) })
 }
 
-// parallelRanges runs fn over [0,n) split into worker chunks and waits.
-func parallelRanges(n, workers int, fn func(lo, hi int)) {
+// runWorkers calls fn(w, bounds[w], bounds[w+1]) for every non-empty
+// range, one goroutine per range when there are several, and waits.
+func runWorkers(bounds []int, fn func(w, lo, hi int)) {
+	if len(bounds) == 2 {
+		fn(0, bounds[0], bounds[1])
+		return
+	}
 	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
+	for w := 0; w+1 < len(bounds); w++ {
+		lo, hi := bounds[w], bounds[w+1]
 		if lo >= hi {
-			break
+			continue
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+			fn(w, lo, hi)
+		}()
 	}
 	wg.Wait()
 }
@@ -355,29 +415,9 @@ func (s *adjSorter) Swap(i, j int) {
 	s.wgt[i], s.wgt[j] = s.wgt[j], s.wgt[i]
 }
 
-// ContractEdge returns G/(u,v): the graph with u and v merged. It is a
-// convenience for tests and for Karger-style algorithms on small graphs.
-func (g *Graph) ContractEdge(u, v int32) *Graph {
-	n := g.NumVertices()
-	block := make([]int32, n)
-	lo, hi := u, v
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	next := int32(0)
-	for i := 0; i < n; i++ {
-		if int32(i) == hi {
-			block[i] = block[lo]
-			continue
-		}
-		block[i] = next
-		next++
-	}
-	return g.Contract(Mapping{Block: block, NumBlocks: int(next)})
-}
-
 // MergePairMapping builds the contraction mapping over n vertices that
-// merges exactly a and b and keeps every other vertex separate.
+// merges exactly a and b and keeps every other vertex separate. For a == b
+// it is the identity.
 func MergePairMapping(n int, a, b int32) Mapping {
 	if a > b {
 		a, b = b, a
@@ -385,7 +425,7 @@ func MergePairMapping(n int, a, b int32) Mapping {
 	block := make([]int32, n)
 	next := int32(0)
 	for v := 0; v < n; v++ {
-		if int32(v) == b {
+		if int32(v) == b && a != b {
 			block[v] = block[a] // a < b: already assigned
 			continue
 		}

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -173,12 +175,22 @@ func TestContractTriangle(t *testing.T) {
 
 func TestContractEdge(t *testing.T) {
 	g := triangle(t)
-	h := g.ContractEdge(0, 2)
+	h := g.Contract(MergePairMapping(3, 2, 0))
 	if h.NumVertices() != 2 || h.NumEdges() != 1 {
 		t.Fatalf("n=%d m=%d, want 2,1", h.NumVertices(), h.NumEdges())
 	}
 	if w := h.EdgeWeight(0, 1); w != 5 { // edges 0-1 (2) and 2-1 (3)
 		t.Errorf("weight = %d, want 5", w)
+	}
+
+	// Merging a vertex with itself is the identity, not a merge into 0.
+	m := MergePairMapping(4, 2, 2)
+	if m.NumBlocks != 4 || !slices.Equal(m.Block, []int32{0, 1, 2, 3}) {
+		t.Fatalf("MergePairMapping(4, 2, 2) = %v with %d blocks, want the identity", m.Block, m.NumBlocks)
+	}
+	path := MustFromEdges(4, []Edge{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}})
+	if h := path.Contract(MergePairMapping(4, 3, 3)); !Equal(h, path) {
+		t.Errorf("contracting (3,3) changed the path: n=%d m=%d", h.NumVertices(), h.NumEdges())
 	}
 }
 
@@ -259,29 +271,88 @@ func TestContractParallelSingleBlockAndEdgeless(t *testing.T) {
 	}
 }
 
+// The parallel path promises the exact layout of Contract for every
+// worker count: the same CSR slices, strictly ascending adjacency lists and
+// degrees that sum the row. n is above the single-worker cutoff, so the
+// worker counts really split the passes.
+func TestContractParallelLayout(t *testing.T) {
+	const n = 5000
+	rng := rand.New(rand.NewSource(21))
+	g := randomGraph(rng, n, 4*n, 50)
+	edgeless := NewBuilder(n).MustBuild()
+	for _, nc := range []int{1, 2, 100, n / 4, n} {
+		m := blockMapping(rng, n, nc)
+		for _, in := range []struct {
+			name string
+			g    *Graph
+		}{{"random", g}, {"edgeless", edgeless}} {
+			want := in.g.Contract(m)
+			if !Equal(want, naiveContract(in.g, m)) {
+				t.Fatalf("%s nc=%d: Contract differs from naive", in.name, nc)
+			}
+			for _, workers := range []int{1, 2, 3, 8} {
+				h := in.g.ContractParallel(m, workers)
+				got, ref := h.CSR(), want.CSR()
+				if !slices.Equal(got.XAdj, ref.XAdj) || !slices.Equal(got.Adj, ref.Adj) ||
+					!slices.Equal(got.Wgt, ref.Wgt) || !slices.Equal(got.Deg, ref.Deg) {
+					t.Fatalf("%s nc=%d workers=%d: CSR differs from Contract", in.name, nc, workers)
+				}
+				for b := 0; b < nc; b++ {
+					var d int64
+					for i := got.XAdj[b]; i < got.XAdj[b+1]; i++ {
+						if i > got.XAdj[b] && got.Adj[i-1] >= got.Adj[i] {
+							t.Fatalf("%s nc=%d workers=%d: row %d not strictly ascending", in.name, nc, workers, b)
+						}
+						d += got.Wgt[i]
+					}
+					if d != got.Deg[b] {
+						t.Fatalf("%s nc=%d workers=%d: Deg[%d] = %d, row sums to %d", in.name, nc, workers, b, got.Deg[b], d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// blockMapping spreads n vertices over exactly nc blocks at random.
+func blockMapping(rng *rand.Rand, n, nc int) Mapping {
+	labels := make([]int32, n)
+	for v, p := range rng.Perm(n) {
+		labels[v] = int32(p % nc)
+	}
+	return NewMappingFromLabels(labels)
+}
+
+var contractSink *Graph
+
+// BenchmarkContractVariants contracts one graph onto nc random blocks. The
+// few-block rows are the case where one worker could end up owning almost
+// every arc; run with -cpu 1,N to see both worker counts.
 func BenchmarkContractVariants(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(rng, 1<<15, 1<<19, 8)
-	labels := make([]int32, g.NumVertices())
-	for i := range labels {
-		labels[i] = rng.Int31n(1 << 13)
+	n := g.NumVertices()
+	for _, nc := range []int{1, 2, 1 << 7, 1 << 13, n / 2} {
+		m := blockMapping(rng, n, nc)
+		b.Run(fmt.Sprintf("nc=%d/sequential", nc), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				contractSink = g.Contract(m)
+			}
+		})
+		b.Run(fmt.Sprintf("nc=%d/cht", nc), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				contractSink = g.ContractParallelCHT(m, 0)
+			}
+		})
+		b.Run(fmt.Sprintf("nc=%d/gather", nc), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				contractSink = g.ContractParallel(m, 0)
+			}
+		})
 	}
-	m := NewMappingFromLabels(labels)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g.Contract(m)
-		}
-	})
-	b.Run("cht", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g.ContractParallelCHT(m, 0)
-		}
-	})
-	b.Run("scatter", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g.ContractParallel(m, 0)
-		}
-	})
 }
 
 // Contraction conserves total weight minus intra-block weight.

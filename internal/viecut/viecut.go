@@ -40,7 +40,8 @@ type Result struct {
 	Levels int // coarsening levels performed
 }
 
-// Run executes VieCut on g.
+// Run executes VieCut on g. On a disconnected graph it returns Value 0
+// with Side the component of vertex 0, and only then is Value 0 for n ≥ 2.
 func Run(g *graph.Graph, opts Options) Result {
 	opts.fill()
 	n := g.NumVertices()
