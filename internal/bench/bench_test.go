@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 func fmtSscan(s string, v *int64) (int, error) { return fmt.Sscan(s, v) }
@@ -162,6 +163,20 @@ func TestMaxWorkersShape(t *testing.T) {
 	for i := 1; i < len(ws); i++ {
 		if ws[i] <= ws[i-1] {
 			t.Fatalf("not increasing: %v", ws)
+		}
+	}
+}
+
+// The Figure 5 scaling set is a fixed set of graphs: two generations in
+// one process must agree on every instance.
+func TestScalingInstancesDeterministic(t *testing.T) {
+	a, b := ScalingInstances(SmallScale()), ScalingInstances(SmallScale())
+	if len(a) != len(b) {
+		t.Fatalf("%d instances, then %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].Name != b[i].Name || !graph.Equal(a[i].G, b[i].G) {
+			t.Errorf("instance %d (%s) differs between two generations", i, a[i].Name)
 		}
 	}
 }

@@ -166,6 +166,23 @@ func TestRMAT(t *testing.T) {
 	}
 }
 
+// Two generations from one seed must give the same graph, within one
+// process too: the attachment targets of a vertex feed every later
+// degree-proportional draw, so their order must not depend on map
+// iteration.
+func TestBarabasiAlbertDeterministic(t *testing.T) {
+	for _, c := range []struct {
+		n, k int
+		seed uint64
+	}{{2000, 4, 11}, {3000, 25, 3}, {50, 1, 7}} {
+		for rep := 0; rep < 3; rep++ {
+			if !graph.Equal(BarabasiAlbert(c.n, c.k, c.seed), BarabasiAlbert(c.n, c.k, c.seed)) {
+				t.Fatalf("BarabasiAlbert(%d, %d, %d) differs between two calls", c.n, c.k, c.seed)
+			}
+		}
+	}
+}
+
 func TestBarabasiAlbert(t *testing.T) {
 	g := BarabasiAlbert(2000, 4, 11)
 	if g.NumVertices() != 2000 {

@@ -74,15 +74,22 @@ func BarabasiAlbert(n, k int, seed uint64) *graph.Graph {
 			endpoints = append(endpoints, int32(i), int32(j))
 		}
 	}
+	chosen := map[int32]bool{}
+	targets := make([]int32, 0, k)
 	for v := k + 1; v < n; v++ {
-		chosen := map[int32]bool{}
-		for len(chosen) < k {
+		clear(chosen)
+		targets = targets[:0]
+		for len(targets) < k {
 			t := endpoints[rng.Intn(len(endpoints))]
-			if int(t) != v {
+			if int(t) != v && !chosen[t] {
 				chosen[t] = true
+				targets = append(targets, t)
 			}
 		}
-		for t := range chosen {
+		// Targets are appended in the order they were first drawn, not in
+		// map order, so later degree-proportional draws depend on the
+		// seed alone.
+		for _, t := range targets {
 			b.AddEdge(int32(v), t, 1)
 			endpoints = append(endpoints, int32(v), t)
 		}

@@ -42,18 +42,19 @@ type Result struct {
 
 // Run executes VieCut on g. On a disconnected graph it returns Value 0
 // with Side the component of vertex 0, and only then is Value 0 for n ≥ 2.
+//
+// Connectivity is not checked on g itself but on the graph after the
+// first label-propagation contraction, at the cost of a search over the
+// clustered graph instead of all of g. That check is exact: a label only
+// spreads along edges, so every cluster lies inside one component of g,
+// and the clustered graph has exactly g's components. A single cluster
+// proves g connected without a search. When g is at most BaseSize
+// vertices and no level runs, the check is made on g before the base case.
 func Run(g *graph.Graph, opts Options) Result {
 	opts.fill()
 	n := g.NumVertices()
 	if n < 2 {
 		return Result{}
-	}
-	if comp, k := g.Components(); k > 1 {
-		side := make([]bool, n)
-		for v, c := range comp {
-			side[v] = c == 0
-		}
-		return Result{Value: 0, Side: side}
 	}
 
 	labels := make([]int32, n)
@@ -97,6 +98,11 @@ func Run(g *graph.Graph, opts Options) Result {
 		if m.NumBlocks > 1 && m.NumBlocks < before {
 			contract(m.Block, m.NumBlocks)
 		}
+		if res.Levels == 1 && m.NumBlocks > 1 {
+			if side := componentOfVertex0(cur, labels); side != nil {
+				return Result{Value: 0, Side: side}
+			}
+		}
 		if cur.NumVertices() <= 2 {
 			break
 		}
@@ -116,6 +122,12 @@ func Run(g *graph.Graph, opts Options) Result {
 		}
 	}
 
+	if res.Levels == 0 {
+		if side := componentOfVertex0(cur, labels); side != nil {
+			return Result{Value: 0, Side: side}
+		}
+	}
+
 	// Exact base case on the coarsest graph.
 	if cur.NumVertices() >= 2 {
 		base := noi.MinimumCut(cur, noi.Options{Queue: pq.KindBStack, Bounded: true, Seed: seed})
@@ -129,4 +141,20 @@ func Run(g *graph.Graph, opts Options) Result {
 		}
 	}
 	return res
+}
+
+// componentOfVertex0 returns nil when cur is connected. Otherwise it
+// returns the side of the original graph made of vertex 0's component;
+// labels maps every original vertex to its vertex of cur, whose
+// components are exactly those of the original graph.
+func componentOfVertex0(cur *graph.Graph, labels []int32) []bool {
+	comp, k := cur.Components()
+	if k == 1 {
+		return nil
+	}
+	side := make([]bool, len(labels))
+	for v, l := range labels {
+		side[v] = comp[l] == comp[labels[0]]
+	}
+	return side
 }

@@ -1,6 +1,8 @@
 package viecut
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -166,11 +168,150 @@ func TestPropertyVieCutSandwich(t *testing.T) {
 	}
 }
 
+// benchWorkers are the worker counts the benchmarks sweep: one, and every
+// core the process may use.
+func benchWorkers() []int {
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		return []int{1, p}
+	}
+	return []int{1}
+}
+
 func BenchmarkVieCutRHG(b *testing.B) {
 	g := gen.RHG(1<<13, 16, 5, 1)
 	lc, _ := g.LargestComponent()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Run(lc, Options{Workers: 8, Seed: uint64(i)})
+	for _, w := range benchWorkers() {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Run(lc, Options{Workers: w, Seed: uint64(i)})
+			}
+		})
+	}
+}
+
+// BenchmarkLabelPropagation times VieCut's first-level clustering, two
+// iterations, on a power-law graph of the size of the Figure 5 social
+// instance.
+func BenchmarkLabelPropagation(b *testing.B) {
+	g := gen.BarabasiAlbert(1<<15, 25, 1)
+	for _, w := range benchWorkers() {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				LabelPropagation(g, 2, w, uint64(i))
+			}
+		})
+	}
+}
+
+// disjointUnion places the parts side by side and then renames vertex v
+// to perm[v] (the identity when perm is nil). It returns the graph and
+// the part of every vertex.
+func disjointUnion(perm []int32, parts ...*graph.Graph) (*graph.Graph, []int) {
+	n := 0
+	for _, p := range parts {
+		n += p.NumVertices()
+	}
+	id := func(v int) int32 {
+		if perm == nil {
+			return int32(v)
+		}
+		return perm[v]
+	}
+	b := graph.NewBuilder(n)
+	part := make([]int, n)
+	off := 0
+	for i, p := range parts {
+		p.ForEachEdge(func(u, v int32, w int64) {
+			b.AddEdge(id(off+int(u)), id(off+int(v)), w)
+		})
+		for v := 0; v < p.NumVertices(); v++ {
+			part[id(off+v)] = i
+		}
+		off += p.NumVertices()
+	}
+	return b.MustBuild(), part
+}
+
+// checkComponentOfVertex0 asserts the disconnected-graph contract of Run
+// at workers 1, 2 and 4: Value 0 and Side exactly vertex 0's part.
+func checkComponentOfVertex0(t *testing.T, name string, g *graph.Graph, part []int) {
+	t.Helper()
+	for _, w := range []int{1, 2, 4} {
+		res := Run(g, Options{Workers: w, Seed: 5})
+		if res.Value != 0 {
+			t.Fatalf("%s, workers %d: Value %d, want 0", name, w, res.Value)
+		}
+		for v := range part {
+			if res.Side[v] != (part[v] == part[0]) {
+				t.Fatalf("%s, workers %d: Side[%d] = %v, but vertex 0 is in part %d and vertex %d in part %d",
+					name, w, v, res.Side[v], part[0], v, part[v])
+			}
+		}
+	}
+}
+
+// Above BaseSize, Run finds disconnection on the graph clustered by the
+// first level of label propagation; the answer must still be exactly the
+// component of vertex 0 of the input.
+func TestVieCutDisconnectedAboveBaseSize(t *testing.T) {
+	big, small := gen.BarabasiAlbert(3000, 3, 1), gen.BarabasiAlbert(1500, 3, 2)
+	isolated := graph.NewBuilder(1).MustBuild()
+
+	// Vertex 0 isolated.
+	g, part := disjointUnion(nil, isolated, big, small)
+	checkComponentOfVertex0(t, "vertex 0 isolated", g, part)
+
+	// Vertex 0 in the larger part, with the ids of all parts interleaved:
+	// the name 0 goes to the first vertex of big.
+	perm := gen.NewRNG(3).Perm(3000 + 1500 + 1)
+	for v := range perm {
+		if perm[v] == 0 {
+			perm[v], perm[0] = perm[0], 0
+		}
+	}
+	g, part = disjointUnion(perm, big, small, isolated)
+	checkComponentOfVertex0(t, "vertex 0 in the larger part", g, part)
+
+	// Cliques collapse to one label each, so the first contraction leaves
+	// one vertex per component and no edge.
+	cliques := []*graph.Graph{gen.Complete(60), gen.Complete(70), gen.Complete(80)}
+	perm = gen.NewRNG(4).Perm(210)
+	g, part = disjointUnion(perm, cliques...)
+	if m := graph.NewMappingFromLabels(LabelPropagation(g, 2, 1, 6)); m.NumBlocks != len(cliques) {
+		t.Fatalf("label propagation gave %d clusters on %d cliques", m.NumBlocks, len(cliques))
+	}
+	checkComponentOfVertex0(t, "one cluster per component", g, part)
+}
+
+// Property: a label only spreads along edges, so no label class of
+// LabelPropagation spans two components of a disconnected graph.
+func TestPropertyLabelPropagationWithinComponents(t *testing.T) {
+	f := func(seed uint64, sizes [3]uint16) bool {
+		parts := make([]*graph.Graph, len(sizes))
+		n := 0
+		for i, s := range sizes {
+			k := 1 + int(s)%2500
+			parts[i] = gen.GNM(k, 2*k, seed+uint64(i))
+			n += k
+		}
+		g, _ := disjointUnion(gen.NewRNG(seed).Perm(n), parts...)
+		comp, _ := g.Components()
+		for _, w := range []int{1, 4} {
+			labels := LabelPropagation(g, 2, w, seed)
+			compOf := map[int32]int32{}
+			for v, l := range labels {
+				if c, ok := compOf[l]; ok && c != comp[v] {
+					t.Logf("workers %d: label %d spans components %d and %d", w, l, c, comp[v])
+					return false
+				}
+				compOf[l] = comp[v]
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
 	}
 }
