@@ -70,11 +70,13 @@
 //
 // This library provides:
 //
-//   - the paper's engineered solver: VieCut-derived bounds, bounded
-//     priority queues, parallel CAPFOREST and parallel contraction
-//     (Solve with AlgoParallel, the default);
+//   - the paper's engineered solver ParCut (Solve with AlgoParallel, the
+//     default): the VieCut bound plus NOI's rounds run with the parallel
+//     CAPFOREST and parallel contraction, with bounded priority queues;
+//     at one worker its rounds are the sequential CAPFOREST;
 //   - the sequential Nagamochi–Ono–Ibaraki variants NOI-HNSS and NOIλ̂
-//     with BStack/BQueue/Heap priority queues (AlgoNOI, AlgoNOIUnbounded);
+//     with BStack/BQueue/Heap priority queues (AlgoNOI, AlgoNOIUnbounded),
+//     the same round loop run by one worker;
 //   - exact baselines: Hao–Orlin (AlgoHaoOrlin), Stoer–Wagner
 //     (AlgoStoerWagner), Karger–Stein (AlgoKargerStein);
 //   - the inexact VieCut algorithm (AlgoVieCut) and Matula's

@@ -22,11 +22,7 @@ func KargerStein(g *graph.Graph, trials int, seed uint64) (int64, []bool) {
 		return 0, nil
 	}
 	if comp, k := g.Components(); k > 1 {
-		side := make([]bool, n)
-		for v, c := range comp {
-			side[v] = c == 0
-		}
-		return 0, side
+		return 0, graph.LiftBlock(comp, comp[0])
 	}
 	if trials < 1 {
 		trials = 1

@@ -22,36 +22,22 @@ func Matula(g *graph.Graph, eps float64) (int64, []bool) {
 		return 0, nil
 	}
 	if comp, k := g.Components(); k > 1 {
-		side := make([]bool, n)
-		for v, c := range comp {
-			side[v] = c == 0
-		}
-		return 0, side
+		return 0, graph.LiftBlock(comp, comp[0])
 	}
 	if eps <= 0 {
 		eps = 0.1
 	}
 
-	labels := make([]int32, n)
-	for i := range labels {
-		labels[i] = int32(i)
-	}
+	labels := graph.IdentityLabels(n)
 	cur := g
 	best := int64(math.MaxInt64)
 	var bestSide []bool
-	record := func(val int64, block int32) {
-		best = val
-		bestSide = make([]bool, n)
-		for orig, l := range labels {
-			bestSide[orig] = l == block
-		}
-	}
 
 	seed := uint64(1)
 	for {
 		mv, delta := cur.MinDegreeVertex()
 		if delta < best {
-			record(delta, mv)
+			best, bestSide = delta, graph.LiftBlock(labels, mv)
 		}
 		if cur.NumVertices() <= 2 {
 			break
@@ -71,14 +57,7 @@ func Matula(g *graph.Graph, eps float64) (int64, []bool) {
 		if res.Improved && res.Bound < best {
 			// A genuine cut below τ was observed during the scan.
 			best = res.Bound
-			curSide := make([]bool, cur.NumVertices())
-			for _, v := range res.Order[:res.BestPrefixLen] {
-				curSide[v] = true
-			}
-			bestSide = make([]bool, n)
-			for orig, l := range labels {
-				bestSide[orig] = curSide[l]
-			}
+			bestSide = graph.LiftSet(labels, cur.NumVertices(), res.Order[:res.BestPrefixLen])
 		}
 		mapping, blocks := u.Mapping()
 		if blocks == cur.NumVertices() {
@@ -86,7 +65,7 @@ func Matula(g *graph.Graph, eps float64) (int64, []bool) {
 			// merge one maximum-adjacency pair as a safety net.
 			phaseVal, last, pair := MAPhase(cur)
 			if phaseVal < best {
-				record(phaseVal, last)
+				best, bestSide = phaseVal, graph.LiftBlock(labels, last)
 			}
 			m := graph.MergePairMapping(cur.NumVertices(), pair[0], pair[1])
 			mapping, blocks = m.Block, m.NumBlocks
@@ -95,9 +74,7 @@ func Matula(g *graph.Graph, eps float64) (int64, []bool) {
 			break
 		}
 		cur = cur.Contract(graph.Mapping{Block: mapping, NumBlocks: blocks})
-		for i := range labels {
-			labels[i] = mapping[labels[i]]
-		}
+		graph.ComposeLabels(labels, mapping)
 	}
 	return best, bestSide
 }

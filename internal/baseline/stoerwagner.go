@@ -25,17 +25,10 @@ func StoerWagner(g *graph.Graph) (int64, []bool) {
 		return 0, nil
 	}
 	if comp, k := g.Components(); k > 1 {
-		side := make([]bool, n)
-		for v, c := range comp {
-			side[v] = c == 0
-		}
-		return 0, side
+		return 0, graph.LiftBlock(comp, comp[0])
 	}
 
-	labels := make([]int32, n)
-	for i := range labels {
-		labels[i] = int32(i)
-	}
+	labels := graph.IdentityLabels(n)
 	cur := g
 	best := int64(math.MaxInt64)
 	var bestSide []bool
@@ -43,20 +36,14 @@ func StoerWagner(g *graph.Graph) (int64, []bool) {
 	for cur.NumVertices() >= 2 {
 		phaseVal, last, pair := MAPhase(cur)
 		if phaseVal < best {
-			best = phaseVal
-			bestSide = make([]bool, n)
-			for orig, l := range labels {
-				bestSide[orig] = l == last
-			}
+			best, bestSide = phaseVal, graph.LiftBlock(labels, last)
 		}
 		if cur.NumVertices() == 2 {
 			break
 		}
 		m := graph.MergePairMapping(cur.NumVertices(), pair[0], pair[1])
 		cur = cur.Contract(m)
-		for i := range labels {
-			labels[i] = m.Block[labels[i]]
-		}
+		graph.ComposeLabels(labels, m.Block)
 	}
 	return best, bestSide
 }

@@ -67,7 +67,7 @@ func noiAlgo(kind pq.Kind, bounded, withVieCut bool) func(*graph.Graph, uint64) 
 	return func(g *graph.Graph, seed uint64) int64 {
 		opts := noi.Options{Queue: kind, Bounded: bounded, Seed: seed}
 		if withVieCut {
-			vc := viecut.Run(g, viecut.Options{Seed: seed})
+			vc := viecut.Run(g, viecut.Options{Workers: 1, Seed: seed})
 			opts.InitialBound, opts.InitialSide = vc.Value, vc.Side
 		}
 		return noi.MinimumCut(g, opts).Value

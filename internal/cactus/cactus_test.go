@@ -396,12 +396,12 @@ func TestMaxCutsOverflow(t *testing.T) {
 }
 
 func TestOptionsVariants(t *testing.T) {
-	// Sequential, kernel-disabled and λ-supplied paths must agree.
+	// One-worker, kernel-disabled and λ-supplied paths must agree.
 	g := gen.Grid(3, 4)
 	base := mustAll(t, g, Options{})
 	checkResult(t, g, base)
 	for _, opts := range []Options{
-		{Sequential: true},
+		{Workers: 1},
 		{DisableKernel: true},
 		{Lambda: base.Lambda},
 		{Workers: 2, Seed: 99},

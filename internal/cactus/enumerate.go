@@ -85,9 +85,6 @@ type Options struct {
 	// DisableKernel skips the all-cuts-preserving kernelization (ablation;
 	// the enumeration then runs on the full graph).
 	DisableKernel bool
-	// Sequential forces the enumeration of either strategy onto one
-	// goroutine (equivalent to Workers: 1).
-	Sequential bool
 	// NoMaterialize skips building Result.Cuts, the per-cut boolean sides
 	// over original vertices — Θ(C·n) bytes for C cuts. The cactus is
 	// still built; stream the cuts from it with Cactus.EachMinCut.
@@ -158,9 +155,6 @@ func AllMinCuts(ctx context.Context, g *graph.Graph, opts Options) (*Result, err
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Sequential {
-		workers = 1
-	}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = 1
@@ -207,7 +201,7 @@ func AllMinCuts(ctx context.Context, g *graph.Graph, opts Options) (*Result, err
 	res.Lambda = lambda
 
 	// Kernelize: contract everything no minimum cut separates.
-	kg, labels := g, identity(n)
+	kg, labels := g, graph.IdentityLabels(n)
 	if !opts.DisableKernel {
 		start := time.Now()
 		k, err := core.KernelizeAllCuts(ctx, g, lambda, opts.Workers, seed)
@@ -436,12 +430,4 @@ func materialize(kcuts []bitset, labels []int32, n int) [][]bool {
 		sorted[a] = cuts[i]
 	}
 	return sorted
-}
-
-func identity(n int) []int32 {
-	id := make([]int32, n)
-	for i := range id {
-		id[i] = int32(i)
-	}
-	return id
 }

@@ -44,43 +44,23 @@ func KernelizeAllCuts(ctx context.Context, g *graph.Graph, lambda int64, workers
 		workers = runtime.GOMAXPROCS(0)
 	}
 	n := g.NumVertices()
-	k := Kernel{Graph: g, Labels: identityLabels(n), Lambda: lambda}
+	k := Kernel{Graph: g, Labels: graph.IdentityLabels(n), Lambda: lambda}
 	if n < 3 || lambda <= 0 {
 		return k, ctx.Err()
 	}
-	threshold := lambda + 1
-	opts := capforest.Options{Queue: pq.KindBQueue, Bounded: true, FixedThreshold: threshold, Ctx: ctx}
-	cur := g
-	for cur.NumVertices() > 2 {
+	for k.Graph.NumVertices() > 2 {
 		if err := ctx.Err(); err != nil {
-			k.Graph = cur
 			return k, err
 		}
 		k.Rounds++
 		seed++
-		opts.Seed = seed
-		nc := cur.NumVertices()
-
-		var mapping []int32
-		var blocks int
-		if workers > 1 && nc >= 1<<10 {
-			u := dsu.NewConcurrent(nc)
-			capforest.RunParallel(cur, u, threshold, workers, opts)
-			mapping, blocks = u.Mapping()
-		} else {
-			d := dsu.New(nc)
-			capforest.Run(cur, d, threshold, opts)
-			mapping, blocks = d.Mapping()
-		}
-		if blocks == nc {
+		mapping, blocks := fixedThresholdRound(ctx, k.Graph, lambda+1, workers, seed)
+		if blocks == k.Graph.NumVertices() {
 			break // fixpoint: no edge certified above λ
 		}
-		cur = cur.ContractParallel(graph.Mapping{Block: mapping, NumBlocks: blocks}, workers)
-		for i := range k.Labels {
-			k.Labels[i] = mapping[k.Labels[i]]
-		}
+		k.Graph = k.Graph.ContractParallel(graph.Mapping{Block: mapping, NumBlocks: blocks}, workers)
+		graph.ComposeLabels(k.Labels, mapping)
 	}
-	k.Graph = cur
 	return k, ctx.Err()
 }
 
@@ -113,7 +93,6 @@ func CertifyConnectivity(ctx context.Context, g *graph.Graph, u, v int32, thresh
 	if n < 2 || threshold <= 0 {
 		return threshold <= 0, ctx.Err()
 	}
-	opts := capforest.Options{Queue: pq.KindBQueue, Bounded: true, FixedThreshold: threshold, Ctx: ctx}
 	cur := g
 	cu, cv := u, v // the pair's images in the contracted graph
 	for cur.NumVertices() >= 2 {
@@ -121,24 +100,11 @@ func CertifyConnectivity(ctx context.Context, g *graph.Graph, u, v int32, thresh
 			return false, err
 		}
 		seed++
-		opts.Seed = seed
-		nc := cur.NumVertices()
-
-		var mapping []int32
-		var blocks int
-		if workers > 1 && nc >= 1<<10 {
-			d := dsu.NewConcurrent(nc)
-			capforest.RunParallel(cur, d, threshold, workers, opts)
-			mapping, blocks = d.Mapping()
-		} else {
-			d := dsu.New(nc)
-			capforest.Run(cur, d, threshold, opts)
-			mapping, blocks = d.Mapping()
-		}
+		mapping, blocks := fixedThresholdRound(ctx, cur, threshold, workers, seed)
 		if mapping[cu] == mapping[cv] {
 			return true, nil
 		}
-		if blocks == nc {
+		if blocks == cur.NumVertices() {
 			return false, nil // fixpoint: inconclusive
 		}
 		cur = cur.ContractParallel(graph.Mapping{Block: mapping, NumBlocks: blocks}, workers)
@@ -147,10 +113,20 @@ func CertifyConnectivity(ctx context.Context, g *graph.Graph, u, v int32, thresh
 	return false, ctx.Err()
 }
 
-func identityLabels(n int) []int32 {
-	labels := make([]int32, n)
-	for i := range labels {
-		labels[i] = int32(i)
+// fixedThresholdRound runs one CAPFOREST scan of g with the fixed
+// threshold, unioning every pair it certifies to have connectivity ≥
+// threshold, and returns the mapping onto the certified blocks. Graphs
+// of at least 1024 vertices are scanned by the parallel CAPFOREST when
+// workers > 1, smaller ones by the sequential scan.
+func fixedThresholdRound(ctx context.Context, g *graph.Graph, threshold int64, workers int, seed uint64) ([]int32, int) {
+	opts := capforest.Options{Queue: pq.KindBQueue, Bounded: true, FixedThreshold: threshold, Seed: seed, Ctx: ctx}
+	nc := g.NumVertices()
+	if workers > 1 && nc >= 1<<10 {
+		u := dsu.NewConcurrent(nc)
+		capforest.RunParallel(g, u, threshold, workers, opts)
+		return u.Mapping()
 	}
-	return labels
+	d := dsu.New(nc)
+	capforest.Run(g, d, threshold, opts)
+	return d.Mapping()
 }

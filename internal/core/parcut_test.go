@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/baseline"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/noi"
 	"repro/internal/pq"
 	"repro/internal/verify"
+	"repro/internal/viecut"
 )
 
 func defaultOpts(workers int) Options {
@@ -189,15 +191,61 @@ func TestValueDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// The paper's best sequential configuration (NOIλ̂-Heap with a VieCut
+// bound, the bottom row of Figure 5) is ParCut at one worker with the
+// heap.
 func TestSequentialBaseline(t *testing.T) {
 	g := gen.ConnectedGNM(300, 1200, 13)
 	want := noi.MinimumCut(g, noi.Options{Queue: pq.KindHeap}).Value
-	res := SequentialBaseline(g, 1)
+	res, _ := ParallelMinimumCut(context.Background(), g, Options{Workers: 1, Queue: pq.KindHeap, Bounded: true, Seed: 1})
 	if res.Value != want {
-		t.Fatalf("SequentialBaseline = %d, want %d", res.Value, want)
+		t.Fatalf("ParCut(workers=1, heap) = %d, want %d", res.Value, want)
 	}
 	if err := verify.ValidateWitness(g, res.Side, want); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// At one worker ParCut is NOIλ̂ seeded with the VieCut bound: the same
+// value, witness, rounds and queue traffic, and no sequential fallback
+// (every round is already the sequential scan, Algorithm 1 with one
+// worker).
+func TestParCutAtOneWorkerIsNOI(t *testing.T) {
+	var graphs []*graph.Graph
+	for seed := uint64(1); seed <= 12; seed++ {
+		for _, n := range []int{8, 16, 33} {
+			graphs = append(graphs, gen.ConnectedGNM(n, n-1+int(seed%uint64(2*n)), seed*131+uint64(n)))
+		}
+		if g := mustLC(gen.GNMWeighted(20, 20+int(seed%20), 3, seed*977)); g.NumVertices() >= 2 {
+			graphs = append(graphs, g)
+		}
+	}
+	for n := 3; n <= 16; n++ {
+		graphs = append(graphs, gen.Ring(n))
+	}
+	for _, blocks := range []int{2, 3, 4} {
+		graphs = append(graphs, gen.CliqueChain(blocks, 4))
+	}
+	graphs = append(graphs, gen.Ring(3000), mustLC(gen.RHG(2000, 16, 5, 11)), gen.BarabasiAlbert(1500, 4, 3))
+
+	for i, g := range graphs {
+		seed := uint64(i + 1)
+		par, err := ParallelMinimumCut(context.Background(), g, Options{Workers: 1, Queue: pq.KindBQueue, Bounded: true, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vc := viecut.Run(g, viecut.Options{Workers: 1, Seed: seed})
+		seq := noi.MinimumCut(g, noi.Options{Queue: pq.KindBQueue, Bounded: true, Seed: seed, InitialBound: vc.Value, InitialSide: vc.Side})
+		if par.Value != seq.Value || !slices.Equal(par.Side, seq.Side) {
+			t.Fatalf("graph %d (n=%d): ParCut %d, NOI %d, or the witnesses differ", i, g.NumVertices(), par.Value, seq.Value)
+		}
+		if par.Rounds != seq.Rounds || par.Stats != seq.Stats {
+			t.Fatalf("graph %d (n=%d): ParCut ran %d rounds %+v, NOI %d rounds %+v",
+				i, g.NumVertices(), par.Rounds, par.Stats, seq.Rounds, seq.Stats)
+		}
+		if par.SeqFallbacks != 0 {
+			t.Fatalf("graph %d: %d sequential fallbacks at one worker", i, par.SeqFallbacks)
+		}
 	}
 }
 

@@ -511,7 +511,7 @@ func (g *Graph) IsConnected() bool {
 func (g *Graph) LargestComponent() (*Graph, []int32) {
 	comp, k := g.Components()
 	if k <= 1 {
-		return g, identity(g.NumVertices())
+		return g, IdentityLabels(g.NumVertices())
 	}
 	sizes := make([]int, k)
 	for _, c := range comp {
@@ -540,12 +540,4 @@ func (g *Graph) DegreeHistogram() []int {
 	}
 	sort.Ints(h)
 	return h
-}
-
-func identity(n int) []int32 {
-	id := make([]int32, n)
-	for i := range id {
-		id[i] = int32(i)
-	}
-	return id
 }

@@ -1,6 +1,7 @@
 package noi
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -199,6 +200,86 @@ func TestStatsPopulated(t *testing.T) {
 	res := MinimumCut(g, Options{Queue: pq.KindHeap, Bounded: true})
 	if res.Rounds == 0 || res.Stats.Pops == 0 {
 		t.Errorf("stats empty: rounds=%d pops=%d", res.Rounds, res.Stats.Pops)
+	}
+}
+
+// With four workers the rounds on at least 4096 vertices run the
+// parallel CAPFOREST; the value must match the one-worker run and the
+// witness must be a genuine cut of that value. CI runs this under the
+// race detector with GOMAXPROCS=4.
+func TestParallelRoundsAgree(t *testing.T) {
+	graphs := []*graph.Graph{
+		gen.ConnectedGNM(4096, 16384, 5),
+		gen.BarabasiAlbert(5000, 3, 2),
+	}
+	for i, g := range graphs {
+		if g.NumVertices() < 4*1024 {
+			t.Fatalf("graph %d: %d vertices is too few for a four-worker round", i, g.NumVertices())
+		}
+		for _, v := range variants[1:] {
+			v.Seed = uint64(i)
+			want := MinimumCut(g, v).Value
+			v.Workers = 4
+			res := MinimumCut(g, v)
+			if res.Value != want {
+				t.Fatalf("graph %d %s: 4 workers %d, 1 worker %d", i, variantName(v), res.Value, want)
+			}
+			if err := verify.ValidateWitness(g, res.Side, res.Value); err != nil {
+				t.Fatalf("graph %d %s: %v", i, variantName(v), err)
+			}
+			if res.Rounds == 0 {
+				t.Fatalf("graph %d %s: no round ran", i, variantName(v))
+			}
+		}
+	}
+}
+
+// Only a disconnected graph has a zero cut, and MinimumCut answers it with
+// the component of vertex 0 whichever scan finds the zero cut: the
+// sequential one, a four-worker parallel one, or the degree of a
+// contracted vertex.
+func TestDisconnectedWitnessIsComponentOfVertex0(t *testing.T) {
+	for _, parts := range [][2]int{{3, 2}, {40, 1}, {300, 500}, {5000, 3000}} {
+		// Shuffle the ids so neither component is a contiguous range.
+		n := parts[0] + parts[1]
+		perm := gen.NewRNG(uint64(n)).Perm(n)
+		bld := graph.NewBuilder(n)
+		for i, off := range []int32{0, int32(parts[0])} {
+			gen.ConnectedGNM(parts[i], 3*parts[i], uint64(i)).ForEachEdge(func(u, v int32, w int64) {
+				bld.AddEdge(perm[off+u], perm[off+v], w)
+			})
+		}
+		g := bld.MustBuild()
+		comp, k := g.Components()
+		if k != 2 {
+			t.Fatalf("parts %v: %d components", parts, k)
+		}
+		for _, v := range variants {
+			for _, workers := range []int{1, 4} {
+				v.Workers = workers
+				res := MinimumCut(g, v)
+				if res.Value != 0 {
+					t.Fatalf("parts %v %s w%d: value %d, want 0", parts, variantName(v), workers, res.Value)
+				}
+				for x, in := range res.Side {
+					if in != (comp[x] == comp[0]) {
+						t.Fatalf("parts %v %s w%d: the witness is not the component of vertex 0", parts, variantName(v), workers)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A cancelled context stops the loop before its first round; the partial
+// result is the minimum-degree cut.
+func TestCancelledBeforeFirstRound(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := gen.ConnectedGNM(300, 1200, 7)
+	res := MinimumCut(g, Options{Queue: pq.KindBQueue, Bounded: true, Workers: 2, Ctx: ctx})
+	if _, delta := g.MinDegreeVertex(); res.Rounds != 0 || res.Value != delta {
+		t.Fatalf("rounds=%d value=%d, want 0 rounds and δ=%d", res.Rounds, res.Value, delta)
 	}
 }
 

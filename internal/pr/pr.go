@@ -3,10 +3,9 @@
 // form in which VieCut applies them after every label-propagation
 // contraction (paper §2.4).
 //
-// An edge e=(u,v) may be contracted without destroying any cut of value
-// less than the current upper bound λ̂ if any of the following holds
-// (c(x) is the weighted degree of x; λ̂ ≤ δ(G) is maintained by all
-// callers, so trivial cuts never fall below λ̂):
+// An edge e=(u,v) passes a test under the current upper bound λ̂ if any
+// of the following holds (c(x) is the weighted degree of x; λ̂ ≤ δ(G) is
+// maintained by all callers, so trivial cuts never fall below λ̂):
 //
 //	PR1: c(e) ≥ λ̂ — any cut separating u,v costs at least c(e).
 //	PR2: 2c(e) ≥ min(c(u), c(v)) — moving the lighter endpoint across any
@@ -18,9 +17,18 @@
 //	     2(c(e)+c(v,w)) ≥ c(v) — whichever side of a separating cut w
 //	     lands on, one endpoint can be moved across for free, as in PR2.
 //
-// The tests only affect how tight VieCut's bound becomes; the exact
-// solver's correctness never depends on them (it only consumes the bound,
-// which is always the value of a genuine cut).
+// The tests certify different things. PR1 and PR3 prove λ(u,v) ≥ λ̂, a
+// property of the pair alone, so their unions compose through the
+// union-find: contracting all of them together keeps every cut below λ̂.
+// PR2 and PR4 hold per edge only. Each keeps some minimum cut when it is
+// the one edge contracted, but two of them can each rely on a different
+// minimum cut, and contracting both can destroy every cut below λ̂. So
+// one pass of Apply may merge the whole graph although λ < λ̂: a collapse
+// is not a certificate that λ̂ = λ (TestApplyCollapseIsNotACertificate).
+//
+// The tests therefore only affect how tight VieCut's bound becomes; the
+// exact solver's correctness never depends on them (it only consumes the
+// bound, which is always the value of a genuine cut).
 package pr
 
 import (
@@ -118,29 +126,6 @@ func Apply(g *graph.Graph, bound int64, u Unioner) int {
 		}
 	}
 	return unions
-}
-
-// ApplyRepeatedly alternates Apply and contraction until a pass yields no
-// union, returning the final contracted graph and the composed mapping
-// from g's vertices to the result's vertices.
-func ApplyRepeatedly(g *graph.Graph, bound int64) (*graph.Graph, []int32) {
-	cur := g
-	labels := make([]int32, g.NumVertices())
-	for i := range labels {
-		labels[i] = int32(i)
-	}
-	for cur.NumVertices() > 2 {
-		u := dsu.New(cur.NumVertices())
-		if Apply(cur, bound, u) == 0 {
-			break
-		}
-		mapping, blocks := u.Mapping()
-		cur = cur.Contract(graph.Mapping{Block: mapping, NumBlocks: blocks})
-		for i := range labels {
-			labels[i] = mapping[labels[i]]
-		}
-	}
-	return cur, labels
 }
 
 func min64(a, b int64) int64 {

@@ -102,7 +102,17 @@ func TestPR3UsesTriangles(t *testing.T) {
 func TestApplyRepeatedlyShrinks(t *testing.T) {
 	g := gen.Complete(20)
 	_, delta := g.MinDegreeVertex()
-	h, labels := ApplyRepeatedly(g, delta)
+	// Alternate Apply and contraction until a pass makes no union.
+	h, labels := g, graph.IdentityLabels(g.NumVertices())
+	for h.NumVertices() > 2 {
+		u := dsu.New(h.NumVertices())
+		if Apply(h, delta, u) == 0 {
+			break
+		}
+		mapping, blocks := u.Mapping()
+		h = h.Contract(graph.Mapping{Block: mapping, NumBlocks: blocks})
+		graph.ComposeLabels(labels, mapping)
+	}
 	if h.NumVertices() > 2 {
 		t.Errorf("K20 should collapse nearly completely, still %d vertices", h.NumVertices())
 	}
@@ -124,11 +134,44 @@ func TestApplyWithConcurrentDSU(t *testing.T) {
 	}
 }
 
+// Two K5s of weight-10 edges, joined by the edge 1–6 of weight 1 and
+// through vertex 10, which hangs off 0 and 5 by weight 3 each. λ = 4 (the
+// K5 on 0–4 against the rest), δ = 6 (vertex 10). PR1 merges each K5, and
+// PR2 merges 10 with 0 and, separately, with 5: each edge alone keeps a
+// minimum cut (10 can sit on either side of it at the same cost), but the
+// two together leave one block. So a single pass collapses the graph
+// although λ < λ̂, and a collapse certifies nothing.
+func TestApplyCollapseIsNotACertificate(t *testing.T) {
+	b := graph.NewBuilder(11)
+	for _, base := range []int32{0, 5} {
+		for i := int32(0); i < 5; i++ {
+			for j := i + 1; j < 5; j++ {
+				b.AddEdge(base+i, base+j, 10)
+			}
+		}
+	}
+	b.AddEdge(10, 0, 3)
+	b.AddEdge(10, 5, 3)
+	b.AddEdge(1, 6, 1)
+	g := b.MustBuild()
+	lambda, _ := verify.BruteForceMinCut(g)
+	_, delta := g.MinDegreeVertex()
+	if lambda != 4 || delta != 6 {
+		t.Fatalf("λ=%d δ=%d, want λ=4 δ=6", lambda, delta)
+	}
+	u := dsu.New(11)
+	Apply(g, delta, u)
+	if _, blocks := u.Mapping(); blocks != 1 {
+		t.Fatalf("one pass left %d blocks, want the whole graph merged", blocks)
+	}
+}
+
 func TestSparseGraphFewContractions(t *testing.T) {
 	// A long cycle has no heavy edges, no dominated vertices and no
 	// triangles; with bound 2 = λ nothing should contract via PR3/PR4,
-	// but PR2 applies everywhere (2c(e)=2 ≥ c(v)=2), which is safe
-	// because λ̂ = λ = 2 exactly.
+	// but PR2 applies everywhere (2c(e)=2 ≥ c(v)=2). PR2 holds per edge
+	// only, so the unions may merge the whole ring; what must never
+	// happen is a contracted graph with a cut below λ.
 	g := gen.Ring(12)
 	u := dsu.New(12)
 	Apply(g, 2, u)
